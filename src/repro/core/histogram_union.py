@@ -8,58 +8,46 @@ Overlap of a set Δ of aligned chain joins is bounded stage-by-stage:
 
 Joins of unequal shape are first aligned by the splitting method
 (:mod:`repro.splitting`), which yields the same ``ChainStatsView``
-interface consumed here. Everything is DataFrame aggregations over base
-relations — no join is materialized (the "decentralized / data market"
-setting of the paper).
+interface consumed here. Every input comes from the workload's
+:class:`~repro.core.stats.StatsCatalog`: per-column degree histograms of
+base relations, each aggregated once per workload — no join is
+materialized (the "decentralized / data market" setting of the paper).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from .join_sampler import UnionContext
 from .join_spec import Join
 from .koverlap import cover_sizes, k_overlaps, union_size
-from .stats import avg_degree, max_degree, pair_degree_product, self_degree
+from .stats import StatsCatalog, pair_product
 
 
 @dataclass
 class ChainStatsView:
-    """Per-join statistics provider for Theorem 4's stage recursion.
+    """Per-join statistics for Theorem 4's stage recursion.
 
-    ``first_pair`` returns DataFrame[v, pairs] — the per-value count of
-    joinable (t1, t2) pairs of the first two stage relations; ``ms[i]``
-    returns the stage-(i+2) multiplier M_{j,i} (max or avg degree; 1 for
-    fake joins). Values are computed lazily and cached: the warm-up
-    evaluates every Δ in the powerset and reuses per-join statistics. The
-    pair histogram is a Spark aggregation collected once; the Σ-min over
-    the powerset happens driver-side (histograms are column-sized).
+    ``pairs`` is the per-value count of joinable (t1, t2) pairs of the first
+    two stage relations (value → pairs); ``ms[i]`` is the stage-(i+2)
+    multiplier M_{j,i} (max or avg degree; 1 for fake joins). Both are read
+    off the workload's :class:`~repro.core.stats.StatsCatalog` when the
+    view is built; the Σ-min over the powerset happens driver-side
+    (histograms are column-sized).
     """
 
     name: str
-    first_pair: Callable[[], DataFrame]
-    ms: list[Callable[[], float]]
-    _pair_cache: "pd.Series | None" = field(default=None, repr=False)
-    _m_cache: dict[int, float] = field(default_factory=dict, repr=False)
+    pairs: pd.Series
+    ms: list[float]
 
-    def pair_series(self) -> "pd.Series":
-        """pairs indexed by value v (pandas, collected once)."""
-        if self._pair_cache is None:
-            pdf = self.first_pair().toPandas()
-            self._pair_cache = pdf.set_index("v")["pairs"].astype(float)
-        return self._pair_cache
-
-    def m(self, i: int) -> float:
-        if i not in self._m_cache:
-            self._m_cache[i] = float(self.ms[i]())
-        return self._m_cache[i]
+    def pair_series(self) -> pd.Series:
+        """pairs indexed by value v, as floats."""
+        return self.pairs
 
 
-def chain_view(join: Join, *, refine: str = "max") -> ChainStatsView:
+def chain_view(join: Join, stats: StatsCatalog, *, refine: str = "max") -> ChainStatsView:
     """Statistics view of a plain chain join (equi-length case, §5.1).
 
     ``refine='avg'`` uses average instead of max degrees for stages ≥ 2 —
@@ -68,21 +56,20 @@ def chain_view(join: Join, *, refine: str = "max") -> ChainStatsView:
     """
     rels, edges = join.as_chain()
     e0 = edges[0]
+    h0 = stats.get(rels[0].df, e0.parent_col).hist
     if e0.fake:
-        first = lambda: self_degree(rels[0].df, e0.parent_col)  # noqa: E731
+        pairs = h0
     else:
-        first = lambda: pair_degree_product(  # noqa: E731
-            rels[0].df, e0.parent_col, rels[1].df, e0.child_col
-        )
-    deg = max_degree if refine == "max" else avg_degree
+        pairs = pair_product(h0, stats.get(rels[1].df, e0.child_col).hist)
 
-    def make_m(edge, rel):
+    def m(edge, rel) -> float:
         if edge.fake:
-            return lambda: 1.0
-        return lambda: float(deg(rel.df, edge.child_col))
+            return 1.0
+        entry = stats.get(rel.df, edge.child_col)
+        return float(entry.max if refine == "max" else entry.avg)
 
-    ms = [make_m(e, rels[i + 2]) for i, e in enumerate(edges[1:])]
-    return ChainStatsView(join.name, first, ms)
+    ms = [m(e, rels[i + 2]) for i, e in enumerate(edges[1:])]
+    return ChainStatsView(join.name, pairs.astype(float), ms)
 
 
 def overlap_bound(views: list[ChainStatsView]) -> float:
@@ -95,7 +82,7 @@ def overlap_bound(views: list[ChainStatsView]) -> float:
     merged = pd.concat([v.pair_series() for v in views], axis=1, join="inner")
     k = float(merged.min(axis=1).sum()) if len(merged) else 0.0
     for i in range(n_stages.pop()):
-        k *= min(v.m(i) for v in views)
+        k *= min(v.ms[i] for v in views)
     return k
 
 
@@ -168,7 +155,7 @@ def histogram_warmup(
     names = uctx.names
     if view_sets is None:
         if views is None:
-            views = [chain_view(j, refine=refine) for j in uctx.joins]
+            views = [chain_view(j, uctx.stats, refine=refine) for j in uctx.joins]
         view_sets = [views]
     sets_by_name = [{v.name: v for v in vs} for vs in view_sets]
     sizes = {
@@ -191,14 +178,19 @@ def auto_histogram_warmup(uctx: UnionContext, *, size_method: str = "eo") -> War
     """Dispatch: equi-length chain unions use §5.1 directly; anything else
     (acyclic joins, unequal lengths) goes through the splitting method
     with candidate templates and the §5.1 average-degree refinement
-    (full histograms being available in the centralized setting)."""
-    joins = uctx.joins
-    if all(j.is_chain() for j in joins) and len(
-        {len(j.relations()) for j in joins}
-    ) == 1:
-        return histogram_warmup(uctx, size_method=size_method)
-    from repro.splitting.split import split_view_sets  # local: avoids cycle
+    (full histograms being available in the centralized setting).
 
-    return histogram_warmup(
-        uctx, size_method=size_method, view_sets=split_view_sets(joins, refine="avg")
-    )
+    The view sets are built once per workload and kept in ``uctx.stats``,
+    so later calls only redo the Σ-min and the Theorem 3 algebra."""
+    stats = uctx.stats
+    if stats.view_sets is None:
+        joins = uctx.joins
+        if all(j.is_chain() for j in joins) and len(
+            {len(j.relations()) for j in joins}
+        ) == 1:
+            stats.view_sets = [[chain_view(j, stats) for j in joins]]
+        else:
+            from repro.splitting.split import split_view_sets  # local: avoids cycle
+
+            stats.view_sets = split_view_sets(joins, stats, refine="avg")
+    return histogram_warmup(uctx, size_method=size_method, view_sets=stats.view_sets)

@@ -20,10 +20,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from .join_spec import Join
-from .olken import olken_bound, reduce_join
-from .stats import max_degree
+from .olken import reduce_join
+from .stats import StatsCatalog
 from .walker import DPROD, P, WalkResult, run_walks
-from .weights import exact_size, weighted_join
+from .weights import weighted_join
 
 
 @dataclass
@@ -172,11 +172,13 @@ def sample_join(
 
 @dataclass
 class UnionContext:
-    """Contexts for every join of a union workload, keyed by join name."""
+    """Contexts for every join of a union workload, keyed by join name,
+    plus the workload's degree statistics (``stats``)."""
 
     spark: SparkSession
     joins: list[Join]
     contexts: dict[str, JoinContext] = field(default_factory=dict)
+    stats: StatsCatalog = field(default_factory=StatsCatalog)
     _membership = None
 
     def __post_init__(self) -> None:

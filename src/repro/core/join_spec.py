@@ -18,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from pyspark.sql import DataFrame
 
@@ -246,7 +246,3 @@ def reroot(join: Join, relation_name: str) -> Join:
 
 
 JoinFactory = Callable[[], Join]
-
-
-def iter_subtrees(join: Join) -> Iterator[Node]:
-    yield from join.nodes()

@@ -19,6 +19,8 @@ of joins stage by stage. This module computes each join's stage statistics
 
 ``refine='max'`` keeps everything a sound upper bound; ``refine='avg'`` is
 the §5.1 full-histogram expected-value refinement.
+Every degree, row count and histogram is read from the workload's
+:class:`~repro.core.stats.StatsCatalog`.
 
 Templates anchored at different attributes expose different structure
 (§8.1.2's "a good template is important"); every template's bound is
@@ -27,28 +29,20 @@ and estimators take the minimum.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.histogram_union import ChainStatsView
 from repro.core.join_spec import Join, Node
-from repro.core.stats import avg_degree, degree_histogram, max_degree
+from repro.core.stats import StatsCatalog, pair_min, pair_product
 
 from .template import best_template
 
 
-def _deg(df: DataFrame, col: str, kind: str) -> float:
-    """Memoized max/avg degree (relations are probed repeatedly across
-    templates and powerset subsets)."""
-    cache = getattr(df, "_repro_deg_cache", None)
-    if cache is None:
-        cache = {}
-        df._repro_deg_cache = cache
-    key = (col, kind)
-    if key not in cache:
-        fn = max_degree if kind == "max" else avg_degree
-        cache[key] = float(fn(df, col))
-    return cache[key]
+def _deg(stats: StatsCatalog, df: DataFrame, col: str, kind: str) -> float:
+    """Max or avg degree of ``df.col``, from the workload's catalog."""
+    entry = stats.get(df, col)
+    return float(entry.max if kind == "max" else entry.avg)
 
 
 def _nodes_with(join: Join, attr: str) -> list[Node]:
@@ -72,10 +66,6 @@ def _closure(join: Join, attrs: set[str]) -> set[str]:
     return out
 
 
-def _parents(join: Join) -> dict[int, tuple[Node, float]]:
-    return {id(e.child): (p, e) for p, e in join.edges()}
-
-
 def _path_nodes(join: Join, na: Node, nb: Node) -> list[Node]:
     """Nodes on the tree path between na and nb (inclusive)."""
     parent = {id(e.child): p for p, e in join.edges()}
@@ -95,7 +85,9 @@ def _path_nodes(join: Join, na: Node, nb: Node) -> list[Node]:
     raise RuntimeError("disconnected join tree")
 
 
-def _path_mprod(join: Join, na: Node, nb: Node, refine: str) -> float:
+def _path_mprod(
+    join: Join, na: Node, nb: Node, stats: StatsCatalog, refine: str
+) -> float:
     """Π of per-edge attachment degrees along the na→nb tree path.
 
     Traversal direction matters: following an edge parent→child charges
@@ -107,8 +99,8 @@ def _path_mprod(join: Join, na: Node, nb: Node, refine: str) -> float:
         return 1.0
     parent: dict[int, tuple[Node, float, float]] = {}
     for p, e in join.edges():
-        m_down = 1.0 if e.fake else _deg(e.child.relation.df, e.child_col, refine)
-        m_up = 1.0 if e.fake else _deg(p.relation.df, e.parent_col, refine)
+        m_down = 1.0 if e.fake else _deg(stats, e.child.relation.df, e.child_col, refine)
+        m_up = 1.0 if e.fake else _deg(stats, p.relation.df, e.parent_col, refine)
         parent[id(e.child)] = (p, m_down, m_up)
 
     def up(n: Node):
@@ -133,23 +125,19 @@ def _path_mprod(join: Join, na: Node, nb: Node, refine: str) -> float:
     raise RuntimeError("disconnected join tree")
 
 
-def _first_pair_df(join: Join, a1: str, a2: str, refine: str) -> DataFrame:
-    """DataFrame[v, pairs]: per-a1-value bound on distinct (a1, a2)
-    prefixes of the join output."""
+def _first_pair_df(
+    join: Join, a1: str, a2: str, stats: StatsCatalog, refine: str
+) -> pd.Series:
+    """Per-a1-value bound on distinct (a1, a2) prefixes of the join output
+    (value → pairs)."""
     n1, n2 = join.node_of_attr(a1), join.node_of_attr(a2)
+    h1 = stats.get(n1.relation.df, a1).hist
     if n1 is n2:
-        h = degree_histogram(n1.relation.df, a1)
-        return h.select(F.col(a1).alias("v"), F.col("deg").alias("pairs"))
+        return h1
     conds = join.condition_pairs()
     if (a1, a2) in conds or (a2, a1) in conds:
         # a2 is equality-determined by a1: one pair per co-present value
-        h1 = degree_histogram(n1.relation.df, a1).select(
-            F.col(a1).alias("v"), F.col("deg").alias("d1")
-        )
-        h2 = degree_histogram(n2.relation.df, a2).select(
-            F.col(a2).alias("v"), F.col("deg").alias("d2")
-        )
-        return h1.join(h2, on="v").select("v", F.least("d1", "d2").alias("pairs"))
+        return pair_min(h1, stats.get(n2.relation.df, a2).hist)
     h2col = None
     for x, y in conds:
         if x == a1 and y in n2.relation.cols:
@@ -160,19 +148,9 @@ def _first_pair_df(join: Join, a1: str, a2: str, refine: str) -> DataFrame:
             break
     if h2col is None:
         # generic fallback: rows of a1's relation × path attachment bound
-        scale = _path_mprod(join, n1, n2, refine)
-        h = degree_histogram(n1.relation.df, a1)
-        return h.select(
-            F.col(a1).alias("v"), (F.col("deg") * F.lit(scale)).alias("pairs")
-        )
+        return h1 * _path_mprod(join, n1, n2, stats, refine)
     # §5.1's degree product across the join condition a1 = h2col
-    h1 = degree_histogram(n1.relation.df, a1).select(
-        F.col(a1).alias("v"), F.col("deg").alias("d1")
-    )
-    h2 = degree_histogram(n2.relation.df, h2col).select(
-        F.col(h2col).alias("v"), F.col("deg").alias("d2")
-    )
-    return h1.join(h2, on="v").select("v", (F.col("d1") * F.col("d2")).alias("pairs"))
+    return pair_product(h1, stats.get(n2.relation.df, h2col).hist)
 
 
 def _first_pair_charged(join: Join, a1: str, a2: str) -> set[int]:
@@ -198,7 +176,9 @@ def _first_pair_charged(join: Join, a1: str, a2: str) -> set[int]:
     return {id(n) for n in _path_nodes(join, n1, n2)}  # path fallback
 
 
-def split_view(join: Join, template: list[str], refine: str = "max") -> ChainStatsView:
+def split_view(
+    join: Join, template: list[str], stats: StatsCatalog, refine: str = "max"
+) -> ChainStatsView:
     """The ChainStatsView of ``join`` under ``template`` (Theorem 4 input)."""
     if len(template) < 2:
         raise ValueError("template needs at least two attributes")
@@ -222,8 +202,8 @@ def split_view(join: Join, template: list[str], refine: str = "max") -> ChainSta
                 if co:
                     local = min(
                         1.0
-                        if _deg(rel.df, y, "max") <= 1.0
-                        else _deg(rel.df, y, refine)
+                        if _deg(stats, rel.df, y, "max") <= 1.0
+                        else _deg(stats, rel.df, y, refine)
                         for y in co
                     )
                     if local < cap:
@@ -232,7 +212,7 @@ def split_view(join: Join, template: list[str], refine: str = "max") -> ChainSta
                     # attach via the tree path from a charged node
                     for n_from in join.nodes():
                         if id(n_from) in counted:
-                            local = _path_mprod(join, n_from, nc, refine)
+                            local = _path_mprod(join, n_from, nc, stats, refine)
                             if local < cap:
                                 cap = local
                                 charge = {
@@ -241,18 +221,19 @@ def split_view(join: Join, template: list[str], refine: str = "max") -> ChainSta
             if cap == float("inf"):
                 # no structural link yet: charge the relation outright
                 nc = nodes_c[0]
-                cap = float(nc.relation.df.count())
+                cap = float(stats.get(nc.relation.df, c).rows)
                 charge = {id(nc)}
         caps.append(cap)
         counted |= charge
         closure = _closure(join, closure | {c})
 
-    first = lambda: _first_pair_df(join, a1, a2, refine)  # noqa: E731
-    return ChainStatsView(join.name, first, [(lambda v=v: v) for v in caps])
+    pairs = _first_pair_df(join, a1, a2, stats, refine)
+    return ChainStatsView(join.name, pairs.astype(float), caps)
 
 
 def split_views(
     joins: list[Join],
+    stats: StatsCatalog,
     *,
     zero_weight: float = 0.0,
     template: list[str] | None = None,
@@ -260,7 +241,7 @@ def split_views(
 ) -> tuple[list[ChainStatsView], list[str]]:
     """Template-align a whole union workload; returns (views, template)."""
     template = template or best_template(joins, zero_weight=zero_weight)
-    return [split_view(j, template, refine) for j in joins], template
+    return [split_view(j, template, stats, refine) for j in joins], template
 
 
 def candidate_templates(
@@ -293,10 +274,14 @@ def candidate_templates(
 
 
 def split_view_sets(
-    joins: list[Join], *, zero_weight: float = 0.0, refine: str = "max"
+    joins: list[Join],
+    stats: StatsCatalog,
+    *,
+    zero_weight: float = 0.0,
+    refine: str = "max",
 ) -> list[list[ChainStatsView]]:
     """One aligned view set per candidate template."""
     return [
-        [split_view(j, t, refine) for j in joins]
+        [split_view(j, t, stats, refine) for j in joins]
         for t in candidate_templates(joins, zero_weight=zero_weight)
     ]

@@ -12,6 +12,7 @@ from repro.core.histogram_union import (
 )
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
+from repro.core.stats import StatsCatalog
 
 
 def random_chain_workload(spark, seed: int, n_joins: int = 3):
@@ -36,7 +37,8 @@ def random_chain_workload(spark, seed: int, n_joins: int = 3):
 def test_theorem4_bound_sound_on_random_workloads(spark, seed):
     joins = random_chain_workload(spark, seed)
     ex = full_join_union(spark, joins)
-    views = {j.name: chain_view(j) for j in joins}
+    stats = StatsCatalog()
+    views = {j.name: chain_view(j, stats) for j in joins}
     from itertools import combinations
 
     names = [j.name for j in joins]
@@ -50,7 +52,7 @@ def test_theorem4_bound_sound_on_random_workloads(spark, seed):
 @pytest.mark.parametrize("seed", [0, 2])
 def test_single_join_bound_is_size_bound(spark, seed):
     joins = random_chain_workload(spark, seed, n_joins=1)
-    view = chain_view(joins[0])
+    view = chain_view(joins[0], StatsCatalog())
     from repro.core.weights import exact_size
 
     assert overlap_bound([view]) >= exact_size(joins[0])
@@ -81,8 +83,9 @@ def test_histogram_warmup_ew_sizes_exact(spark):
 
 def test_avg_refinement_not_larger(spark):
     joins = random_chain_workload(spark, 7)
-    v_max = [chain_view(j, refine="max") for j in joins]
-    v_avg = [chain_view(j, refine="avg") for j in joins]
+    stats = StatsCatalog()
+    v_max = [chain_view(j, stats, refine="max") for j in joins]
+    v_avg = [chain_view(j, stats, refine="avg") for j in joins]
     assert overlap_bound(v_avg) <= overlap_bound(v_max) + 1e-9
 
 
@@ -108,7 +111,7 @@ def test_cover_probs_degenerate_fallback():
 def test_view_sets_take_min(spark):
     joins = random_chain_workload(spark, 8)
     uctx = UnionContext(spark, joins)
-    views = [chain_view(j) for j in joins]
+    views = [chain_view(j, uctx.stats) for j in joins]
     est1 = histogram_warmup(uctx, views=views)
     est2 = histogram_warmup(uctx, view_sets=[views, views])
     for d in est1.overlaps:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.exact import full_join_union
 from repro.core.histogram_union import overlap_bound
+from repro.core.stats import StatsCatalog
 from repro.splitting.split import (
     _closure,
     candidate_templates,
@@ -26,6 +27,11 @@ def exact3(spark, w3):
     return full_join_union(spark, w3.joins)
 
 
+@pytest.fixture(scope="module")
+def stats3(w3):
+    return StatsCatalog()
+
+
 def test_candidate_templates_cover_anchors(w3):
     cands = candidate_templates(w3.joins)
     assert len(cands) >= 3
@@ -35,11 +41,11 @@ def test_candidate_templates_cover_anchors(w3):
 
 
 @pytest.mark.parametrize("refine", ["max"])
-def test_bounds_sound_all_templates_all_deltas(spark, w3, exact3, refine):
+def test_bounds_sound_all_templates_all_deltas(spark, w3, exact3, stats3, refine):
     """Every candidate template must upper-bound every true overlap."""
     names = [j.name for j in w3.joins]
     for t in candidate_templates(w3.joins):
-        views = {j.name: split_view(j, t, refine) for j in w3.joins}
+        views = {j.name: split_view(j, t, stats3, refine) for j in w3.joins}
         for k in range(2, len(names) + 1):
             for d in combinations(names, k):
                 bound = overlap_bound([views[x] for x in d])
@@ -47,9 +53,9 @@ def test_bounds_sound_all_templates_all_deltas(spark, w3, exact3, refine):
                 assert bound >= truth - 1e-6, f"template {t[:3]}… unsound for {d}"
 
 
-def test_min_over_templates_tighter(spark, w3, exact3):
+def test_min_over_templates_tighter(spark, w3, exact3, stats3):
     names = [j.name for j in w3.joins]
-    view_sets = split_view_sets(w3.joins, refine="max")
+    view_sets = split_view_sets(w3.joins, stats3, refine="max")
     d = frozenset(names)
     bounds = [
         overlap_bound([{v.name: v for v in vs}[x] for x in d]) for vs in view_sets
@@ -58,11 +64,11 @@ def test_min_over_templates_tighter(spark, w3, exact3):
     assert min(bounds) >= exact3.overlap(d) - 1e-6
 
 
-def test_single_join_bound_covers_size(spark, w3):
+def test_single_join_bound_covers_size(spark, w3, stats3):
     from repro.core.weights import exact_size
 
     j = w3.joins[1]
-    views, t = split_views([j])
+    views, t = split_views([j], stats3)
     assert overlap_bound(views) >= exact_size(j) - 1e-6
 
 
@@ -74,12 +80,12 @@ def test_closure_propagates_conditions(w3):
     assert "o_custkey" in got
 
 
-def test_view_stage_counts_aligned(w3):
+def test_view_stage_counts_aligned(w3, stats3):
     for t in candidate_templates(w3.joins):
-        views = [split_view(j, t) for j in w3.joins]
+        views = [split_view(j, t, stats3) for j in w3.joins]
         assert len({len(v.ms) for v in views}) == 1
 
 
-def test_template_too_short(w3):
+def test_template_too_short(w3, stats3):
     with pytest.raises(ValueError):
-        split_view(w3.joins[0], ["s_suppkey"])
+        split_view(w3.joins[0], ["s_suppkey"], stats3)
