@@ -74,13 +74,12 @@ def sample_cyclic(
     """Exactly ``n`` i.i.d. uniform tuples from the cyclic join result."""
     rng = np.random.default_rng(seed)
     wskel = weighted_join(cj.skeleton)
-    total = exact_size(wskel)
     m = cj.residual_max_degree()
     out: list[pd.DataFrame] = []
     got = 0
     while got < n:
         batch = max(int((n - got) * 2.0) + 8, 16)
-        res = run_walks(spark, wskel, batch, mode="ew", seed=int(rng.integers(2**31)), total_weight=total)
+        res = run_walks(spark, wskel, batch, mode="ew", seed=int(rng.integers(2**31)))
         pdf = res.pdf.drop(columns=["__p"])
         pdf["__walk"] = np.arange(len(pdf))
         cand = spark.createDataFrame(pdf).join(

@@ -1,4 +1,4 @@
-"""i.i.d. uniform sampling from a single join (§3.2, Zhao et al. adapted).
+"""i.i.d. uniform sampling from joins (§3.2, Zhao et al. adapted).
 
 Two weight instantiations, as evaluated in the paper:
 
@@ -10,19 +10,24 @@ Two weight instantiations, as evaluated in the paper:
 Both run on the Yannakakis-reduced join (the paper's "extra linear search
 to zero out non-joinable tuples"), so walks never dead-end and the EO
 bound is as tight as max-degree statistics allow.
+
+:func:`sample_join` samples several joins at once: each round is one fused
+walk job for all of them, and EO acceptance and predicates are applied per
+join on the driver. Sampling one join is the one-request case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import Column, SparkSession
 
 from .join_spec import Join
 from .olken import reduce_join
 from .stats import StatsCatalog
-from .walker import DPROD, P, WalkResult, run_walks
+from .walker import DPROD, JOIN, _walk_plan, run_walks
 from .weights import weighted_join
 
 
@@ -53,8 +58,6 @@ class JoinContext:
     @property
     def plan(self) -> dict:
         if self._plan is None:
-            from .walker import _walk_plan
-
             self._plan = _walk_plan(self.spark, self.join)
         return self._plan
 
@@ -98,76 +101,84 @@ class JoinContext:
         return len(self.plan["root"])
 
 
-def wander_walks(
-    ctx: JoinContext, n: int, seed: int, *, hash_specs=None
-) -> WalkResult:
-    """Uniform random walks with tracked p(t); the plan's full reduction
-    means walks never dead-end (the paper's zero-weight fix)."""
-    return run_walks(
-        ctx.spark, ctx.join, n, mode="uniform", seed=seed, hash_specs=hash_specs
-    )
+class SamplingError(RuntimeError):
+    """A sampling request that cannot be met, such as uniform tuples from a
+    join with no result tuples."""
 
 
 def sample_join(
-    ctx: JoinContext,
-    n: int,
+    requests: JoinContext | Sequence[tuple[JoinContext, int]],
+    n: int | None = None,
     *,
     method: str = "ew",
     seed: int = 0,
     stats: SampleStats | None = None,
-    hash_specs=None,
+    hash_cols: Sequence[Column] = (),
     predicate=None,
 ) -> pd.DataFrame:
-    """Return exactly ``n`` i.i.d. uniform tuples (value columns) from the
-    join, using the EW or EO instantiation.
+    """Return exactly ``n`` i.i.d. uniform tuples from the join, using the
+    EW or EO instantiation; ``sample_join(ctx, n)`` is the one-request case
+    of ``sample_join([(ctx_0, n_0), (ctx_1, n_1), ...])``.
+
+    Each round runs ONE fused walk job for every request still short, then
+    applies EO acceptance and ``predicate`` per join on the driver. Rows
+    hold the value columns, ``hash_cols`` and ``__join`` (the position of
+    the row's request). Raises :class:`SamplingError` if a requested join
+    has no result tuples.
 
     ``predicate`` (pandas DataFrame → boolean mask) enforces a selection
     during sampling — §8.3's second alternative: an extra rejection factor,
     appropriate for predicates that are not very selective. The result is
     uniform over σ_predicate(J). (The first alternative — push-down — is
     what the workloads do: filter the base relations up front.)"""
-    rng = np.random.default_rng(seed)
-    out: list[pd.DataFrame] = []
-    got = 0
-    value_cols = ctx.join.value_cols
-    # EO over-draw factor from the analytic acceptance rate |J| / bound.
+    if isinstance(requests, JoinContext):
+        requests = [(requests, n)]
+    ctxs = [c for c, _ in requests]
     if method == "eo":
-        acc = max(ctx.size_exact / max(ctx.size_olken, 1), 1e-3)
-    elif method == "ew":
-        acc = 1.0
-    else:
+        # EO over-draw factor from the analytic acceptance rate |J| / bound.
+        accs = np.array([max(c.size_exact / max(c.size_olken, 1), 1e-3) for c in ctxs])
+        m_prod = np.array([c.m_prod for c in ctxs])
+    elif method != "ew":
         raise ValueError(method)
-    while got < n:
-        batch = int(np.ceil((n - got) / acc * 1.2)) + 8
-        batch = min(batch, 200_000)
+    need = np.array([int(k) for _, k in requests], dtype=np.int64)
+    for ctx, k in zip(ctxs, need):
+        if k > 0 and ctx.plan["total_weight"] <= 0:
+            raise SamplingError(f"join {ctx.name!r} has no result tuples")
+    rng = np.random.default_rng(seed)
+    value_cols = ctxs[0].join.value_cols if ctxs else []
+    out: list[pd.DataFrame] = []
+    while need.sum() > 0:
+        over = need / accs if method == "eo" else need
+        walks = np.where(need > 0, np.minimum(np.ceil(over * 1.2) + 8, 200_000), 0)
         res = run_walks(
-            ctx.spark,
-            ctx.join,  # one shared walk plan serves EW and uniform modes
-            batch,
+            ctxs[0].spark,
+            [(c.join, int(w)) for c, w in zip(ctxs, walks)],  # one plan serves EW and uniform
             mode="ew" if method == "ew" else "uniform",
             seed=int(rng.integers(2**31)),
-            total_weight=float(ctx.size_exact) if method == "ew" else None,
-            hash_specs=hash_specs,
+            hash_cols=hash_cols,
         )
         if stats is not None:
-            stats.n_walks += batch
+            stats.n_walks += res.n_walks
         pdf = res.pdf
         if method == "eo" and len(pdf):
-            p_acc = pdf[DPROD].to_numpy(dtype=float) / ctx.m_prod
+            p_acc = pdf[DPROD].to_numpy(dtype=float) / m_prod[pdf[JOIN].to_numpy()]
             keep = rng.random(len(pdf)) < p_acc
             if stats is not None:
                 stats.n_rejected_weight += int((~keep).sum()) + res.n_failed
             pdf = pdf[keep]
         if predicate is not None and len(pdf):
             pdf = pdf[predicate(pdf)]
-        if len(pdf):
-            keep_cols = value_cols + [c for c in pdf.columns if c.startswith("__h")]
-            out.append(pdf[keep_cols])
-            got += len(pdf)
-    result = pd.concat(out, ignore_index=True).head(n)
+        ks = pdf[JOIN].to_numpy(dtype=np.int64)
+        pdf = pdf[pdf.groupby(JOIN).cumcount().to_numpy() < need[ks]]
+        need = need - np.bincount(pdf[JOIN].to_numpy(dtype=np.int64), minlength=len(need))
+        keep_cols = value_cols + [c for c in pdf.columns if c.startswith("__h")]
+        out.append(pdf[keep_cols + [JOIN]])
+    if not out:
+        return pd.DataFrame(columns=value_cols + [JOIN])
+    result = pd.concat(out, ignore_index=True)
     if stats is not None:
         stats.n_accepted += len(result)
-    return result.reset_index(drop=True)
+    return result
 
 
 @dataclass

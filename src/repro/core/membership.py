@@ -11,12 +11,13 @@ Two implementations:
 * :func:`member_ids` — reference path: one ``left_semi`` join per relation
   (a Spark job per probe batch). Exact; used by tests as the oracle.
 * :class:`MembershipIndex` — production path, the analogue of the paper's
-  in-memory hash tables over relations: a one-time Spark pass computes the
-  ``xxhash64`` of every relation row's visible columns; probes hash the
-  candidate batch with the SAME Spark expression (one job per batch for
-  all joins together) and test membership with sorted-array lookups on the
-  driver. 64-bit hashing makes false positives negligible (checked against
-  the semijoin path in tests).
+  in-memory hash tables over relations: a one-time Spark pass per distinct
+  relation computes the ``xxhash64`` of every row's visible columns;
+  probes hash the candidate batch with the SAME Spark expressions
+  (appended to the walk job itself, or one job per batch for all joins
+  together) and test membership with sorted-array lookups on the driver.
+  64-bit hashing makes false positives negligible (checked against the
+  semijoin path in tests).
 """
 from __future__ import annotations
 
@@ -53,30 +54,44 @@ def _hash_expr(cols: list[str]):
 
 
 class MembershipIndex:
-    """Pre-hashed relation signatures for O(log n) membership probes."""
+    """Pre-hashed relation signatures for O(log n) membership probes.
+
+    Each distinct (relation DataFrame, column set) is hashed by one Spark
+    pass, however many joins share it. ``hash_cols`` are the candidate
+    signature expressions, built once per workload; the walker appends
+    them to its output (``run_walks(hash_cols=...)``)."""
 
     def __init__(self, spark: SparkSession, joins: list[Join]):
         self.spark = spark
         self.joins = joins
-        # relation hash sets, keyed by (join name, relation name)
-        self.rel_hashes: dict[tuple[str, str], np.ndarray] = {}
-        # candidate hash columns to compute, keyed by sorted col tuple
+        # candidate signature alias per sorted column set
         self.col_sets: dict[tuple[str, ...], str] = {}
+        # per join: (signature alias, sorted relation hashes) per relation
+        self.probes: list[list[tuple[str, np.ndarray]]] = []
+        hashed: dict[tuple[int, tuple[str, ...]], np.ndarray] = {}
         for join in joins:
+            probes = []
             for rel in join.relations():
                 key = tuple(sorted(rel.cols))
-                self.col_sets.setdefault(key, f"__h{len(self.col_sets)}")
-                h = (
-                    rel.df.select(_hash_expr(rel.cols).alias("h"))
-                    .distinct()
-                    .toPandas()["h"]
-                    .to_numpy(dtype=np.int64)
-                )
-                self.rel_hashes[(join.name, rel.name)] = np.sort(h)
+                alias = self.col_sets.setdefault(key, f"__h{len(self.col_sets)}")
+                rel_key = (id(rel.df), key)
+                if rel_key not in hashed:
+                    h = (
+                        rel.df.select(_hash_expr(rel.cols).alias("h"))
+                        .distinct()
+                        .toPandas()["h"]
+                        .to_numpy(dtype=np.int64)
+                    )
+                    hashed[rel_key] = np.sort(h)
+                probes.append((alias, hashed[rel_key]))
+            self.probes.append(probes)
+        self.hash_cols = [
+            _hash_expr(list(cols)).alias(alias) for cols, alias in self.col_sets.items()
+        ]
 
     def _candidate_hashes(self, candidates: pd.DataFrame) -> pd.DataFrame:
         # Fast path: the walker already computed the signature columns in
-        # its own job (run_walks(hash_specs=...)) — no Spark round trip.
+        # its own job (run_walks(hash_cols=...)) — no Spark round trip.
         aliases = list(self.col_sets.values())
         if all(a in candidates.columns for a in aliases):
             return candidates[aliases]
@@ -85,11 +100,7 @@ class MembershipIndex:
                 [c for c in candidates.columns if not c.startswith("__")]
             ]
         )
-        exprs = [
-            _hash_expr(list(cols)).alias(alias)
-            for cols, alias in self.col_sets.items()
-        ]
-        return df.select(*exprs).toPandas()
+        return df.select(*self.hash_cols).toPandas()
 
     def matrix(self, candidates: pd.DataFrame) -> np.ndarray:
         """Boolean matrix m[i, j] = candidates.iloc[i] ∈ joins[j]."""
@@ -100,9 +111,7 @@ class MembershipIndex:
                 m[:, j] &= (
                     candidates[a].to_numpy() == candidates[b].to_numpy()
                 )
-            for rel in join.relations():
-                alias = self.col_sets[tuple(sorted(rel.cols))]
-                hashes = self.rel_hashes[(join.name, rel.name)]
+            for alias, hashes in self.probes[j]:
                 probe = cand_h[alias].to_numpy(dtype=np.int64)
                 pos = np.searchsorted(hashes, probe)
                 pos = np.clip(pos, 0, len(hashes) - 1) if len(hashes) else pos

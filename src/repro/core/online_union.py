@@ -11,7 +11,9 @@ R ≈ l, so one accepted draw would emit pool-size many copies of a single
 tuple — unbounded variance; the normalized importance-rejection used here
 is the bounded-acceptance equivalent (see DESIGN.md). Accepted tuples
 leave the pool (§7's without-replacement note); when the pool is dry, the
-slot falls back to the §3.2 join sampler. Cover uniformity uses the same
+slot falls back to the §3.2 join sampler. Each round runs the reuse phase
+for every join on the driver, then one fused join-sampler draw (one walk
+job) for every join with outstanding slots. Cover uniformity uses the same
 retry-within-join semantics as Algorithm 1.
 
 Every φ accepted-or-rejected probability records, the join / overlap /
@@ -38,7 +40,7 @@ from .randomwalk_union import (
     randomwalk_warmup,
 )
 from .union_sampler import _alloc
-from .walker import P
+from .walker import JOIN, P
 
 
 @dataclass
@@ -99,8 +101,11 @@ def online_union_sample(
 
     probs = est.cover_probs()
     outstanding = _alloc(rng, n, probs)
-    kept_rows: list[pd.Series] = []
-    kept_meta: list[dict] = []  # {join, ratio} for backtracking
+    # Kept samples as frame slices, with their join index and the cover
+    # ratio they were accepted under (for backtracking).
+    kept_rows: list[pd.DataFrame] = []
+    kept_join: list[np.ndarray] = []
+    kept_ratio: list[np.ndarray] = []
     t_reuse = t_regular = 0.0
     c_reuse = c_regular = 0
     records_since_bt = 0
@@ -108,105 +113,87 @@ def online_union_sample(
     confident = False
     rounds = 0
 
-    def ratio(j: str, e: WarmupEstimate) -> float:
-        cp = e.cover_probs()
-        return cp[j]
+    def keep(rows: pd.DataFrame, jidx: np.ndarray) -> None:
+        cp = est.cover_probs()
+        kept_rows.append(rows[uctx.value_cols])
+        kept_join.append(jidx)
+        kept_ratio.append(np.array([cp[names[i]] for i in jidx], dtype=float))
 
     while sum(outstanding.values()) > 0 and rounds < max_rounds:
         rounds += 1
+        # ---- reuse phase, every join ------------------------------------
         for j, need in list(outstanding.items()):
-            if need <= 0:
-                continue
-            jidx = names.index(j)
             pool = pools[j]
-            # ---- reuse phase -------------------------------------------
-            if len(pool):
-                t0 = time.perf_counter()
-                p_min = float(pool[P].min())
-                taken = 0
-                remaining = list(range(len(pool)))
-                accepted_idx: set[int] = set()
-                attempts = 0
-                # Each attempt draws uniformly from the live pool; accepted
-                # tuples leave it (§7's without-replacement note), rejected
-                # ones stay. Acceptance p_min/p(t) uniformizes the draws.
-                while taken < need and remaining and attempts < 4 * len(pool):
-                    attempts += 1
-                    pos = remaining[int(rng.integers(len(remaining)))]
-                    row = pool.iloc[pos]
-                    records_since_bt += 1
-                    if rng.random() >= p_min / row[P]:
-                        continue  # rejected; tuple stays in the pool
-                    remaining.remove(pos)
-                    accepted_idx.add(pos)
-                    # cover check from the pre-computed membership bitmap
-                    mem = pool_member[j][pos]
-                    f = int(np.argmax(mem)) if mem.any() else jidx
-                    if f != jidx:
-                        continue  # another join's cover — retry within j
-                    kept_rows.append(row[uctx.value_cols])
-                    kept_meta.append({"join": j, "ratio": ratio(j, est)})
-                    taken += 1
-                mask = np.ones(len(pool), dtype=bool)
-                mask[list(accepted_idx)] = False
-                pools[j] = pool[mask].reset_index(drop=True)
-                pool_member[j] = pool_member[j][mask]
-                t_reuse += time.perf_counter() - t0
-                c_reuse += taken
-                need -= taken
-                outstanding[j] = need
-            if need <= 0:
+            if need <= 0 or not len(pool):
                 continue
-            # ---- regular phase (§3.2 sampler + cover retry) -------------
             t0 = time.perf_counter()
-            draw = int(np.ceil(need * 1.5)) + 4
+            jidx = names.index(j)
+            mem = pool_member[j]
+            # cover join of each pool tuple, from its membership bitmap
+            f = np.where(mem.any(axis=1), mem.argmax(axis=1), jidx)
+            taken, left, attempts = _reuse(pool[P].to_numpy(), f, jidx, need, rng)
+            records_since_bt += attempts
+            keep(pool.iloc[taken], np.full(len(taken), jidx))
+            mask = np.ones(len(pool), dtype=bool)
+            mask[left] = False
+            pools[j] = pool[mask].reset_index(drop=True)
+            pool_member[j] = mem[mask]
+            t_reuse += time.perf_counter() - t0
+            c_reuse += len(taken)
+            outstanding[j] = need - len(taken)
+        # ---- regular phase (§3.2 sampler + cover retry), one walk job ----
+        short = [j for j in names if outstanding.get(j, 0) > 0]
+        if short:
+            t0 = time.perf_counter()
+            need = np.array([outstanding[j] for j in short])
             batch = sample_join(
-                uctx.ctx(j),
-                draw,
+                [(uctx.ctx(j), int(np.ceil(c * 1.5)) + 4) for j, c in zip(short, need)],
                 method=sampler,
                 seed=int(rng.integers(2**31)),
-                hash_specs=uctx.membership.col_sets,
+                hash_cols=uctx.membership.hash_cols,
             )
-            f = uctx.membership.min_index(batch)
-            ok = batch[f == jidx]
-            take = min(len(ok), need)
+            src = batch[JOIN].to_numpy(dtype=np.int64)
+            jidx = np.array([names.index(j) for j in short])[src]
+            own = uctx.membership.min_index(batch) == jidx
+            first = batch[own].groupby(JOIN).cumcount().to_numpy() < need[src[own]]
+            keep(batch[own][first], jidx[own][first])
+            take = np.bincount(src[own][first], minlength=len(short))
             records_since_bt += len(batch)
-            for _, row in ok.head(take).iterrows():
-                kept_rows.append(row[uctx.value_cols])
-                kept_meta.append({"join": j, "ratio": ratio(j, est)})
+            for k, j in enumerate(short):
+                outstanding[j] = int(need[k] - take[k])
             t_regular += time.perf_counter() - t0
-            c_regular += take
-            outstanding[j] = need - take
+            c_regular += int(take.sum())
         outstanding = {j: v for j, v in outstanding.items() if v > 0}
 
         # ---- backtracking with parameter update (every φ records) -------
         if records_since_bt >= phi and not confident:
             records_since_bt = 0
             new_est = estimate_from_state(uctx, state)
-            keep_mask = []
-            for meta in kept_meta:
-                old_r = meta["ratio"]
-                new_r = ratio(meta["join"], new_est)
-                p_keep = min(1.0, new_r / old_r) if old_r > 0 else 1.0
-                ok_keep = rng.random() < p_keep
-                keep_mask.append(ok_keep)
-                if ok_keep:
-                    meta["ratio"] = new_r
+            rows = pd.concat(kept_rows, ignore_index=True) if kept_rows else None
+            kj = np.concatenate(kept_join) if kept_join else np.zeros(0, np.int64)
+            old_r = np.concatenate(kept_ratio) if kept_ratio else np.zeros(0)
+            cp = new_est.cover_probs()
+            new_r = np.array([cp[j] for j in names])[kj]
+            p_keep = np.minimum(
+                1.0, np.divide(new_r, old_r, out=np.ones_like(old_r), where=old_r > 0)
+            )
+            ok_keep = rng.random(len(old_r)) < p_keep
             n_bt += 1
-            n_bt_rej += keep_mask.count(False)
-            kept_rows = [r for r, k in zip(kept_rows, keep_mask) if k]
-            kept_meta = [m for m, k in zip(kept_meta, keep_mask) if k]
+            n_bt_rej += int((~ok_keep).sum())
+            if rows is not None:
+                kept_rows = [rows[ok_keep]]
+                kept_join = [kj[ok_keep]]
+                kept_ratio = [new_r[ok_keep]]
             # redistribute the rejected slots
-            miss = n - len(kept_rows) - sum(outstanding.values())
+            miss = n - int(ok_keep.sum()) - sum(outstanding.values())
             if miss > 0:
                 for jj, c in _alloc(rng, miss, new_est.cover_probs()).items():
                     outstanding[jj] = outstanding.get(jj, 0) + c
             est = new_est
-            probs = est.cover_probs()
             confident = _confidence_reached(uctx, state, est, gamma)
 
     samples = (
-        pd.DataFrame(kept_rows).reset_index(drop=True)
+        pd.concat(kept_rows, ignore_index=True)
         if kept_rows
         else pd.DataFrame(columns=uctx.value_cols)
     )
@@ -223,6 +210,35 @@ def online_union_sample(
         n_backtracks=n_bt,
         n_backtrack_rejected=n_bt_rej,
     )
+
+
+def _reuse(
+    p: np.ndarray, f: np.ndarray, jidx: int, need: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reuse phase over one join's pool (§7).
+
+    Each attempt draws uniformly from the live pool and accepts with
+    p_min/p(t), which uniformizes the wander-join draws; accepted tuples
+    leave the pool (§7's without-replacement note), rejected ones stay. An
+    accepted tuple whose cover join ``f`` is not ``jidx`` is dropped (retry
+    within the join). Returns the pool positions kept as samples, the
+    positions that left the pool, and the number of attempts."""
+    p_min = float(p.min())
+    remaining = list(range(len(p)))
+    taken: list[int] = []
+    left: list[int] = []
+    attempts = 0
+    while len(taken) < need and remaining and attempts < 4 * len(p):
+        attempts += 1
+        i = int(rng.integers(len(remaining)))
+        pos = remaining[i]
+        if rng.random() >= p_min / p[pos]:
+            continue  # rejected; tuple stays in the pool
+        remaining.pop(i)
+        left.append(pos)
+        if f[pos] == jidx:
+            taken.append(pos)
+    return np.array(taken, dtype=np.int64), np.array(left, dtype=np.int64), attempts
 
 
 def _confidence_reached(

@@ -2,8 +2,9 @@
 
 Per join: wander-join random walks give (a) a Horvitz–Thompson join-size
 estimate |J|_S = mean of 1/p(t) (failures count 0), updated online, and
-(b) a pool of sampled tuples with recorded probabilities. Overlap of a set
-Δ is estimated from the pool of the first join in Δ (Eq. 2):
+(b) a pool of sampled tuples with recorded probabilities. Each round walks
+every join that has not met its stop rule in one fused walk job. Overlap
+of a set Δ is estimated from the pool of the first join in Δ (Eq. 2):
 
     |O_Δ| = |J_j| · ( Σ_{t∈S_j, t ∈ every J_i∈Δ} 1/p(t) ) / ( Σ_{t∈S_j} 1/p(t) )
 
@@ -26,8 +27,8 @@ import numpy as np
 import pandas as pd
 
 from .histogram_union import WarmupEstimate, build_estimate
-from .join_sampler import UnionContext, wander_walks
-from .walker import P
+from .join_sampler import UnionContext
+from .walker import JOIN, P, run_walks
 
 
 @dataclass
@@ -105,43 +106,58 @@ def randomwalk_warmup(
     estimate and the reusable sample pools."""
     rng = np.random.default_rng(seed)
     names = uctx.names
-    joins = uctx.joins
     state = state or RWState()
     for name in names:
         if name not in state.pools:
             state.pools[name] = pd.DataFrame()
             state.n_failed[name] = 0
             state.member[name] = np.zeros((0, len(names)), dtype=bool)
-    for name in names:
-        ctx = uctx.ctx(name)
-        while len(state.pools[name]) + state.n_failed[name] < max_samples:
-            res = wander_walks(
-                ctx,
-                batch,
-                seed=int(rng.integers(2**31)),
-                hash_specs=uctx.membership.col_sets,
-            )
-            state.n_failed[name] += res.n_failed
-            if len(res.pdf):
-                mem = uctx.membership.matrix(res.pdf)
-                state.member[name] = np.vstack([state.member[name], mem])
+    def anchored(name: str) -> list[frozenset]:
+        return [
+            frozenset(d)
+            for k in range(2, len(names) + 1)
+            for d in combinations(names, k)
+            if min(d, key=names.index) == name
+        ]
+
+    # One fused walk job per round for every join still short of its
+    # stop rule, and one membership probe over the fused batch.
+    active = [
+        name for name in names
+        if len(state.pools[name]) + state.n_failed[name] < max_samples
+    ]
+    while active:
+        res = run_walks(
+            uctx.spark,
+            [(uctx.ctx(name).join, batch) for name in active],
+            mode="uniform",
+            seed=int(rng.integers(2**31)),
+            hash_cols=uctx.membership.hash_cols,
+        )
+        src = res.pdf[JOIN].to_numpy(dtype=np.int64) if len(res.pdf) else np.zeros(0, np.int64)
+        mem = uctx.membership.matrix(res.pdf) if len(res.pdf) else None
+        still = []
+        for k, name in enumerate(active):
+            state.n_failed[name] += res.failed[k]
+            rows = src == k
+            if rows.any():
+                state.member[name] = np.vstack([state.member[name], mem[rows]])
                 state.pools[name] = pd.concat(
-                    [state.pools[name], res.pdf], ignore_index=True
+                    [state.pools[name], res.pdf[rows].drop(columns=[JOIN])],
+                    ignore_index=True,
                 )
+            if len(state.pools[name]) + state.n_failed[name] >= max_samples:
+                continue
             est = state.ht_size(name)
-            anchored = [
-                frozenset(d)
-                for k in range(2, len(names) + 1)
-                for d in combinations(names, k)
-                if min(d, key=names.index) == name
-            ]
             if est > 0:
                 hw = max(
-                    (overlap_ci_halfwidth(state, names, d, z=z) for d in anchored),
+                    (overlap_ci_halfwidth(state, names, d, z=z) for d in anchored(name)),
                     default=0.0,
                 )
                 if hw <= rel_halfwidth * est:
-                    break
+                    continue
+            still.append(name)
+        active = still
     return estimate_from_state(uctx, state), state
 
 

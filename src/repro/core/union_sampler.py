@@ -40,6 +40,7 @@ from .exact import full_join_union
 from .histogram_union import WarmupEstimate, auto_histogram_warmup, build_estimate
 from .join_sampler import SampleStats, UnionContext, sample_join
 from .randomwalk_union import randomwalk_warmup
+from .walker import JOIN
 
 
 @dataclass
@@ -51,6 +52,7 @@ class UnionSampleResult:
     timings: dict = field(default_factory=dict)
     per_join_accepted: dict = field(default_factory=dict)
     stats: SampleStats | None = None
+    rounds: int = 0  # sampling rounds; each is one sample_join call for all joins
 
 
 def warmup_params(
@@ -140,6 +142,7 @@ def _oracle_sample(
     }
 
     outstanding = _alloc(rng, n, probs)
+    ctxs = [uctx.ctx(j) for j in names]
     accepted: list[pd.DataFrame] = []
     per_join: dict[str, int] = {j: 0 for j in names}
     n_drawn = n_rej = 0
@@ -147,45 +150,50 @@ def _oracle_sample(
     rounds = 0
     while sum(outstanding.values()) > 0 and rounds < max_rounds:
         rounds += 1
-        reselect = {}
-        for j, need in list(outstanding.items()):
-            if need <= 0:
+        t0 = time.perf_counter()
+        need = np.array([outstanding.get(j, 0) for j in names])
+        if variant == "cover-retry":
+            # over-draw: each slot retries within its join until accept
+            draw = [
+                int(np.ceil(c / max(rate[j], 0.02) * 1.3)) + 4 if c > 0 else 0
+                for j, c in zip(names, need)
+            ]
+        else:
+            # bernoulli / literal: one draw per slot, re-select on reject
+            draw = need.tolist()
+        # One fused walk job and one membership probe for every join.
+        batch = sample_join(
+            [(c, min(d, 50_000)) for c, d in zip(ctxs, draw)],
+            method=sampler,
+            seed=int(rng.integers(2**31)),
+            stats=stats,
+            hash_cols=uctx.membership.hash_cols,
+        )
+        src = batch[JOIN].to_numpy(dtype=np.int64)
+        own = uctx.membership.min_index(batch) == src
+        got = np.bincount(src, minlength=len(names))
+        ok = np.bincount(src[own], minlength=len(names))
+        ok_rows = batch[own]
+        take = np.minimum(ok, need)
+        accepted.append(ok_rows[ok_rows.groupby(JOIN).cumcount().to_numpy() < need[src[own]]])
+        n_drawn += len(batch)
+        n_rej += int((~own).sum())
+        dt = time.perf_counter() - t0
+        if len(batch):
+            t_acc += dt * int(take.sum()) / len(batch)
+            t_rej += dt * (len(batch) - int(take.sum())) / len(batch)
+        reselect: dict[str, int] = {}
+        for k, j in enumerate(names):
+            if need[k] <= 0:
                 continue
-            t0 = time.perf_counter()
-            if variant == "cover-retry":
-                # over-draw: each slot retries within this join until accept
-                draw = int(np.ceil(need / max(rate[j], 0.02) * 1.3)) + 4
-            else:
-                # bernoulli / literal: one draw per slot, re-select on reject
-                draw = need
-            batch = sample_join(
-                uctx.ctx(j),
-                min(draw, 50_000),
-                method=sampler,
-                seed=int(rng.integers(2**31)),
-                stats=stats,
-                hash_specs=uctx.membership.col_sets,
-            )
-            jidx = names.index(j)
-            f = uctx.membership.min_index(batch)
-            ok = batch[f == jidx]
-            n_drawn += len(batch)
-            n_rej += int((f != jidx).sum())
-            take = min(len(ok), need)
-            if take:
-                accepted.append(ok.head(take))
-                per_join[j] += take
-            dt = time.perf_counter() - t0
-            if len(batch):
-                t_acc += dt * take / len(batch)
-                t_rej += dt * (len(batch) - take) / len(batch)
+            per_join[j] += int(take[k])
             # Adapt the empirical accept rate for the next round.
-            rate[j] = max(0.02, 0.5 * rate[j] + 0.5 * max(len(ok), 1) / max(len(batch), 1))
+            rate[j] = max(0.02, 0.5 * rate[j] + 0.5 * max(ok[k], 1) / max(got[k], 1))
             if variant == "cover-retry":
-                outstanding[j] = need - take  # retry within the same join
+                outstanding[j] = int(need[k] - take[k])  # retry within the join
             else:  # bernoulli / literal: rejected slots re-select a join
                 outstanding[j] = 0
-                miss = need - take
+                miss = int(need[k] - take[k])
                 if miss > 0:
                     for jj, c in _alloc(rng, miss, probs).items():
                         reselect[jj] = reselect.get(jj, 0) + c
@@ -205,6 +213,7 @@ def _oracle_sample(
         timings={"accepted": t_acc, "rejected": t_rej},
         per_join_accepted=per_join,
         stats=stats,
+        rounds=rounds,
     )
 
 
@@ -227,31 +236,34 @@ def _lazy_sample(
     rounds = 0
     while len(kept) < n and rounds < max_rounds:
         rounds += 1
-        need = n - len(kept)
-        for j, c in _alloc(rng, need, probs).items():
-            t0 = time.perf_counter()
-            batch = sample_join(
-                uctx.ctx(j), c, method=sampler, seed=int(rng.integers(2**31)), stats=stats
-            )
-            n_drawn += len(batch)
+        t0 = time.perf_counter()
+        alloc = _alloc(rng, n - len(kept), probs)
+        batch = sample_join(
+            [(uctx.ctx(j), c) for j, c in alloc.items()],
+            method=sampler,
+            seed=int(rng.integers(2**31)),
+            stats=stats,
+        )
+        n_drawn += len(batch)
+        acc_cnt = 0
+        for k, j in enumerate(alloc):
             jidx = names.index(j)
-            acc_cnt = 0
-            for _, row in batch.iterrows():
-                key = tuple(row[uctx.value_cols])
+            for _, row in batch.loc[batch[JOIN] == k, uctx.value_cols].iterrows():
+                key = tuple(row)
                 i = orig.get(key)
                 if i is not None and i < jidx:
                     n_rej += 1  # line 8: reject
                     continue
                 if i is not None and i > jidx:
                     # lines 10–12: revision — reassign and purge old copies
-                    kept = [k for k in kept if k[1] != key]
+                    kept = [e for e in kept if e[1] != key]
                 orig[key] = jidx
                 kept.append((jidx, key, row))
                 acc_cnt += 1
-            dt = time.perf_counter() - t0
-            if len(batch):
-                t_acc += dt * acc_cnt / len(batch)
-                t_rej += dt * (len(batch) - acc_cnt) / len(batch)
+        dt = time.perf_counter() - t0
+        if len(batch):
+            t_acc += dt * acc_cnt / len(batch)
+            t_rej += dt * (len(batch) - acc_cnt) / len(batch)
     kept = kept[:n]
     samples = (
         pd.DataFrame([r for _, _, r in kept]).reset_index(drop=True)
@@ -267,6 +279,7 @@ def _lazy_sample(
         timings={"accepted": t_acc, "rejected": t_rej},
         per_join_accepted=per_join,
         stats=stats,
+        rounds=rounds,
     )
 
 
@@ -283,9 +296,11 @@ def disjoint_union_sample(
     rng = np.random.default_rng(seed)
     sizes = sizes or {j: float(uctx.ctx(j).size_exact) for j in uctx.names}
     total = sum(sizes.values())
-    out = []
-    for j, c in _alloc(rng, n, {k: v / total for k, v in sizes.items()}).items():
-        out.append(
-            sample_join(uctx.ctx(j), c, method=sampler, seed=int(rng.integers(2**31)))
-        )
-    return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+    alloc = _alloc(rng, n, {k: v / total for k, v in sizes.items()})
+    if not alloc:
+        return pd.DataFrame()
+    return sample_join(
+        [(uctx.ctx(j), c) for j, c in alloc.items()],
+        method=sampler,
+        seed=int(rng.integers(2**31)),
+    ).drop(columns=[JOIN])

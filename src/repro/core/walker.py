@@ -1,16 +1,18 @@
 """Batched random walks over the join data graph (§6.1, wander join).
 
-A batch of walks is ONE Spark job: a DataFrame of walk seeds (start row +
-pre-drawn uniforms, one per step) is processed by a ``mapInPandas``
-sampling operator. Executors hold broadcast copies of the join's (reduced,
-EW-weighted) relations, pre-sorted by their join columns, and advance all
-walks of a partition simultaneously with vectorized ``searchsorted``
-lookups:
+One sampling round is ONE Spark job for every join it draws from:
+:func:`run_walks` takes (join, walk count) requests, draws every walk's
+start row and per-step uniforms on the driver, tags each walk seed with
+its request's position (``__join``) and runs all seeds through one
+``mapInPandas`` sampling operator. Executors hold broadcast copies of each
+join's (reduced, EW-weighted) relations, pre-sorted by their join columns,
+and advance the walks of each join with vectorized ``searchsorted``
+lookups (:func:`_advance`):
 
 * ``ew``      — within the joinable range [lo, hi) of the child relation a
                 row is picked ∝ its Exact Weight via the cumulative-weight
                 inverse-CDF; the completed walk is *exactly uniform* over
-                the join result, p(t) = 1/|J|.
+                its join result, p(t) = 1/|J_j|.
 * ``uniform`` — a uniform pick among the d = hi−lo joinable rows (wander
                 join); p(t) = 1/|R_root| · Π 1/dᵢ and Π dᵢ are tracked per
                 walk for HT estimation and Olken (EO) acceptance.
@@ -18,20 +20,22 @@ lookups:
 Dead-ended walks are dropped from the batch and reported in ``n_failed``
 (they contribute 0 to HT estimates, as in the paper). Randomness is drawn
 on the driver and shipped with the seeds, so results are deterministic in
-``seed`` regardless of partitioning.
+``seed`` regardless of partitioning. A single-join call is the one-request
+case of the same code.
 
-This is the "custom sampling operator" realization: relations never pass
-through a shuffle and the join is never materialized — the only Spark
-aggregations happen once, in the EW weight DP and the statistics.
+This is the "custom sampling operator" realization: seeds and relations
+never pass through a shuffle and the join is never materialized — the
+only Spark aggregations happen once, in the EW weight DP and the
+statistics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import Column, SparkSession
 from pyspark.sql import types as T
 
 from .join_spec import Join
@@ -39,16 +43,21 @@ from .weights import W
 
 P = "__p"
 DPROD = "__dprod"
+JOIN = "__join"
 
 
 @dataclass
 class WalkResult:
-    """Completed walks: value columns + ``__p`` (+ ``__dprod`` in uniform
-    mode, + any requested ``__h*`` hash columns), plus failure count."""
+    """Completed walks of one :func:`run_walks` call: value columns +
+    ``__p`` (+ ``__dprod`` in uniform mode) + ``__join`` (the position of
+    the walk's request) + any requested ``__h*`` hash columns.
+    ``n_walks`` and ``n_failed`` are totals over every request; ``failed``
+    holds the dead-ended walks per request."""
 
     pdf: pd.DataFrame
     n_failed: int
     n_walks: int
+    failed: list[int]
 
 
 def _collect(df) -> pd.DataFrame:
@@ -143,136 +152,131 @@ def _spark_field(join: Join, col: str) -> T.StructField:
     raise KeyError(col)
 
 
+def _advance(
+    data: dict, seeds: pd.DataFrame, mode: str, value_cols: list[str]
+) -> pd.DataFrame:
+    """Advance one join's walks from their seeds (``__start`` + one
+    ``__u<i>`` per step) over its broadcast plan ``data``; return the
+    completed walks (value columns, ``__p``, ``__dprod``), or an empty
+    frame when every walk dead-ends."""
+    frontier = data["root"].iloc[seeds["__start"].to_numpy()].reset_index(drop=True)
+    p = np.full(len(frontier), 1.0 / len(data["root"]))
+    dprod = np.ones(len(frontier))
+    us = [seeds[f"__u{i}"].to_numpy() for i in range(len(data["steps"]))]
+    for i, step in enumerate(data["steps"]):
+        keyvals = frontier[step["pcol"]].to_numpy()
+        lo = np.searchsorted(step["keys"], keyvals, side="left")
+        hi = np.searchsorted(step["keys"], keyvals, side="right")
+        alive = hi > lo
+        if mode == "ew":
+            # a range whose weights are all zero is a dead end too
+            cw = step["cumw"]
+            alive &= cw[hi] > cw[lo]
+        if not alive.all():
+            frontier = frontier[alive].reset_index(drop=True)
+            p, dprod = p[alive], dprod[alive]
+            lo, hi = lo[alive], hi[alive]
+            us = [u[alive] for u in us]
+        if not len(frontier):
+            return frontier
+        u = us[i]
+        if mode == "ew":
+            cw = step["cumw"]
+            target = cw[lo] + u * (cw[hi] - cw[lo])
+            idx = np.searchsorted(cw, target, side="right") - 1
+            idx = np.clip(idx, lo, hi - 1)
+        else:
+            d = hi - lo
+            idx = lo + np.minimum((u * d).astype(np.int64), d - 1)
+            p = p / d
+            dprod = dprod * d
+        child_rows = step["child"].iloc[idx].reset_index(drop=True)
+        keep = [c for c in child_rows.columns if c not in frontier.columns]
+        frontier = pd.concat([frontier, child_rows[keep]], axis=1)
+    out = frontier[value_cols].copy()
+    out[P] = p
+    out[DPROD] = dprod
+    return out
+
+
 def run_walks(
     spark: SparkSession,
-    join: Join,
-    n_walks: int,
+    requests: Join | Sequence[tuple[Join, int]],
+    n_walks: int | None = None,
     *,
     mode: str = "uniform",
     seed: int = 0,
-    total_weight: float | None = None,
-    hash_specs: dict[tuple[str, ...], str] | None = None,
+    hash_cols: Sequence[Column] = (),
 ) -> WalkResult:
-    """Run ``n_walks`` independent random walks over ``join`` in one job.
+    """Run independent random walks for every (join, walk count) request
+    in ONE Spark job; ``run_walks(spark, join, n)`` is the one-request case.
 
-    ``hash_specs`` maps sorted column tuples to output aliases; matching
-    ``xxhash64`` signature columns are appended in the same job so
-    membership probes need no extra Spark round trip.
+    Every requested join must have the same output columns; rows come out
+    in the first request's column order.
+    ``hash_cols`` are aliased signature expressions (the membership
+    index's ``hash_cols``) appended in the same job, so membership probes
+    need no extra Spark round trip.
     """
     if mode not in ("uniform", "ew"):
         raise ValueError(mode)
+    if isinstance(requests, Join):
+        requests = [(requests, n_walks)]
+    joins = [j for j, _ in requests]
+    counts = [int(n) for _, n in requests]
+    value_cols = joins[0].value_cols  # the output column order
+    if any(set(j.value_cols) != set(value_cols) for j in joins):
+        raise ValueError("requested joins must share one output schema")
     rng = np.random.default_rng(seed)
-    plan = _walk_plan(spark, join)
-    n_steps = len(plan["steps"])
-    n_root = len(plan["root"])
-    if n_root == 0:
-        return WalkResult(pd.DataFrame(), n_walks, n_walks)
+    plans = [_walk_plan(spark, j) for j in joins]
 
     # --- start selection + pre-drawn randomness (driver side) -----------
-    if mode == "ew":
-        weights = plan["root_w"]
-        tw = float(weights.sum())
-        if tw <= 0:
-            return WalkResult(pd.DataFrame(), n_walks, n_walks)
-        total = total_weight if total_weight is not None else tw
-        starts = rng.choice(n_root, size=n_walks, p=weights / tw)
-    else:
-        total = None
-        starts = rng.integers(0, n_root, size=n_walks)
-    seeds = pd.DataFrame({"__start": starts.astype(np.int64)})
-    for i in range(n_steps):
-        seeds[f"__u{i}"] = rng.random(n_walks)
+    width = max(len(plan["steps"]) for plan in plans)
+    parts = []
+    for k, (plan, n) in enumerate(zip(plans, counts)):
+        n_root = len(plan["root"])
+        tw = plan["total_weight"]
+        if n == 0 or n_root == 0 or (mode == "ew" and tw <= 0):
+            continue  # every walk of this request fails
+        if mode == "ew":
+            starts = rng.choice(n_root, size=n, p=plan["root_w"] / tw)
+        else:
+            starts = rng.integers(0, n_root, size=n)
+        seeds = pd.DataFrame({JOIN: np.full(n, k, dtype=np.int64), "__start": starts})
+        for i in range(width):
+            seeds[f"__u{i}"] = rng.random(n) if i < len(plan["steps"]) else 0.0
+        parts.append(seeds)
+    n_total = sum(counts)
+    if not parts:
+        return WalkResult(pd.DataFrame(), n_total, n_total, list(counts))
 
-    value_cols = join.value_cols
-    out_fields = [_spark_field(join, c) for c in value_cols]
-    out_fields += [T.StructField(P, T.DoubleType()), T.StructField(DPROD, T.DoubleType())]
-    out_schema = T.StructType(out_fields)
-
-    bc = plan["bc"]
-    inv_root = 1.0 / n_root
-    walk_mode = mode
+    out_fields = [_spark_field(joins[0], c) for c in value_cols]
+    out_fields += [
+        T.StructField(P, T.DoubleType()),
+        T.StructField(DPROD, T.DoubleType()),
+        T.StructField(JOIN, T.LongType()),
+    ]
+    bcs = [plan["bc"] for plan in plans]
 
     def walk_partition(batches):
-        data = bc.value
         for pdf in batches:
-            if not len(pdf):
-                continue
-            frontier = data["root"].iloc[pdf["__start"].to_numpy()].reset_index(drop=True)
-            p = np.full(len(frontier), inv_root)
-            dprod = np.ones(len(frontier))
-            us = [pdf[f"__u{i}"].to_numpy() for i in range(n_steps)]
-            for i, step in enumerate(data["steps"]):
-                keyvals = frontier[step["pcol"]].to_numpy()
-                lo = np.searchsorted(step["keys"], keyvals, side="left")
-                hi = np.searchsorted(step["keys"], keyvals, side="right")
-                alive = hi > lo
-                if walk_mode == "ew":
-                    # a range whose weights are all zero is a dead end too
-                    cw = step["cumw"]
-                    alive &= cw[hi] > cw[lo]
-                if not alive.all():
-                    frontier = frontier[alive].reset_index(drop=True)
-                    p, dprod = p[alive], dprod[alive]
-                    lo, hi = lo[alive], hi[alive]
-                    us = [u[alive] for u in us]
-                if not len(frontier):
-                    break
-                u = us[i]
-                if walk_mode == "ew":
-                    cw = step["cumw"]
-                    target = cw[lo] + u * (cw[hi] - cw[lo])
-                    idx = np.searchsorted(cw, target, side="right") - 1
-                    idx = np.clip(idx, lo, hi - 1)
-                else:
-                    d = hi - lo
-                    idx = lo + np.minimum((u * d).astype(np.int64), d - 1)
-                    p = p / d
-                    dprod = dprod * d
-                child_rows = step["child"].iloc[idx].reset_index(drop=True)
-                keep = [c for c in child_rows.columns if c not in frontier.columns]
-                frontier = pd.concat([frontier, child_rows[keep]], axis=1)
-            if not len(frontier):
-                continue
-            out = frontier[value_cols].copy()
-            out[P] = p
-            out[DPROD] = dprod
-            yield out
+            ks = pdf[JOIN].to_numpy()
+            for k in np.unique(ks):
+                out = _advance(bcs[k].value, pdf[ks == k], mode, value_cols)
+                if len(out):
+                    out[JOIN] = k
+                    yield out
 
-    n_parts = max(1, min(int(spark.sparkContext.defaultParallelism), n_walks // 500))
-    df = spark.createDataFrame(seeds)
-    if n_parts > 1:
-        df = df.repartition(n_parts)
-    walked = df.mapInPandas(walk_partition, schema=out_schema)
-    sel = list(walked.columns)
-    if hash_specs:
-        for cols, alias in hash_specs.items():
-            sel.append(
-                F.xxhash64(*[F.col(c).cast("string") for c in sorted(cols)]).alias(alias)
-            )
-    pdf = walked.select(*sel).toPandas()
+    # createDataFrame splits the seeds into partitions itself (one per Arrow
+    # batch), so the walk job has no shuffle.
+    walked = spark.createDataFrame(pd.concat(parts, ignore_index=True)).mapInPandas(
+        walk_partition, schema=T.StructType(out_fields)
+    )
+    pdf = walked.select("*", *hash_cols).toPandas()
+    ks = pdf[JOIN].to_numpy(dtype=np.int64)
+    done = np.bincount(ks, minlength=len(counts))
     if mode == "ew":
-        pdf[P] = 1.0 / total
+        sizes = np.array([plan["total_weight"] for plan in plans])
+        pdf[P] = 1.0 / sizes[ks]
         pdf = pdf.drop(columns=[DPROD])
-    n_done = len(pdf)
-    return WalkResult(pdf, n_walks - n_done, n_walks)
-
-
-def ht_estimate(result: WalkResult) -> float:
-    """Horvitz–Thompson join-size estimate: mean over all walks of 1/p(t),
-    dead-ended walks counting 0 (§6.1)."""
-    if result.n_walks == 0:
-        return 0.0
-    inv = (1.0 / result.pdf[P]).sum() if len(result.pdf) else 0.0
-    return float(inv) / result.n_walks
-
-
-def ht_running_stats(inv_p: np.ndarray, n_total: int) -> tuple[float, float]:
-    """(mean, variance) of the HT estimator terms f(i) = 1/p(t_i) (0 for
-    failures) — the T_n(u), T_{n,2}(u) of §6.2 / Li et al."""
-    if n_total == 0:
-        return 0.0, 0.0
-    padded = np.zeros(n_total)
-    padded[: len(inv_p)] = inv_p
-    mean = float(padded.mean())
-    var = float(padded.var(ddof=1)) if n_total > 1 else 0.0
-    return mean, var
+    failed = [int(n - d) for n, d in zip(counts, done)]
+    return WalkResult(pdf, sum(failed), n_total, failed)

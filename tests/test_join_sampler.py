@@ -112,3 +112,29 @@ def test_reduction_preserves_join(spark, skewed, ctx):
         .reset_index(drop=True)[join.value_cols]
     )
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
+
+
+def test_empty_join_raises_sampling_error(spark):
+    """A join with no joinable tuples raises at once instead of spinning."""
+    import signal
+
+    from repro.core.join_sampler import SamplingError
+
+    a = Relation("a", spark.createDataFrame(pd.DataFrame({"x": [1, 2], "pa": [0, 1]})))
+    b = Relation("b", spark.createDataFrame(pd.DataFrame({"bx": [3, 4], "pb": [0, 1]})))
+    empty = JoinContext(spark, chain("empty", [a, b], [("x", "bx")]))
+
+    def hang(signum, frame):
+        raise TimeoutError("sampling an empty join did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        for method in ("ew", "eo"):
+            with pytest.raises(SamplingError, match="no result tuples"):
+                sample_join(empty, 5, method=method, seed=0)
+        with pytest.raises(SamplingError):
+            sample_join([(empty, 3)], seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -82,3 +82,17 @@ def test_float_and_string_columns_roundtrip(spark, two_joins):
     own = j1.full_df().toPandas()
     m = idx.matrix(own)
     assert m[:, 0].all()
+
+
+def test_shared_relation_hashed_once(spark, two_joins, candidates):
+    """A relation DataFrame shared by several joins is hashed by one pass."""
+    j1, j2 = two_joins
+    shared_b = j1.relations()[1]
+    j3 = chain("j3", [j2.relations()[0], shared_b], [("x", "bx")])
+    idx = MembershipIndex(spark, [j1, j2, j3])
+    arrays = {id(h) for probes in idx.probes for _, h in probes}
+    assert len(arrays) == 4  # a1, b1 (shared by j1 and j3), a2, b2
+    assert idx.probes[0][1][1] is idx.probes[2][1][1]
+    assert idx.probes[1][0][1] is idx.probes[2][0][1]
+    m_ref = membership_matrix(spark, candidates, [j1, j2, j3])
+    assert (idx.matrix(candidates) == m_ref).all()

@@ -84,3 +84,45 @@ def test_per_sample_time_nan_when_phase_unused(workload):
     uctx, _ = workload
     res = online_union_sample(uctx, 30, reuse=False, seed=8, warmup_max=200)
     assert np.isnan(res.per_sample_time("reuse"))
+
+
+def _reference_reuse(pool, member, jidx, need, rng):
+    """The per-row reuse loop that ``_reuse`` vectorizes, kept as its
+    reference: pool positions kept as samples and left the pool."""
+    p_min = float(pool["__p"].min())
+    taken, remaining, accepted = [], list(range(len(pool))), set()
+    attempts = 0
+    while len(taken) < need and remaining and attempts < 4 * len(pool):
+        attempts += 1
+        pos = remaining[int(rng.integers(len(remaining)))]
+        row = pool.iloc[pos]
+        if rng.random() >= p_min / row["__p"]:
+            continue
+        remaining.remove(pos)
+        accepted.add(pos)
+        mem = member[pos]
+        f = int(np.argmax(mem)) if mem.any() else jidx
+        if f != jidx:
+            continue
+        taken.append(pos)
+    return taken, sorted(accepted), attempts
+
+
+@pytest.mark.parametrize("need", [5, 40, 500])
+def test_reuse_matches_reference_loop(need):
+    from repro.core.online_union import _reuse
+
+    g = np.random.default_rng(3)
+    pool = pd.DataFrame({"v": np.arange(200), "__p": g.uniform(0.001, 0.01, 200)})
+    member = g.random((200, 3)) < 0.4
+    jidx = 1
+    ref = _reference_reuse(pool, member, jidx, need, np.random.default_rng(11))
+    f = np.where(member.any(axis=1), member.argmax(axis=1), jidx)
+    rng = np.random.default_rng(11)
+    taken, left, attempts = _reuse(pool["__p"].to_numpy(), f, jidx, need, rng)
+    assert taken.tolist() == ref[0]
+    assert sorted(left.tolist()) == ref[1]
+    assert attempts == ref[2]
+    ref_rng = np.random.default_rng(11)
+    _reference_reuse(pool, member, jidx, need, ref_rng)
+    assert rng.random() == ref_rng.random()  # the same draws were consumed

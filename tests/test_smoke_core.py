@@ -7,7 +7,8 @@ from repro.core.join_sampler import JoinContext, sample_join
 from repro.core.join_spec import Relation, chain
 from repro.core.membership import min_join_index
 from repro.core.olken import olken_bound
-from repro.core.walker import ht_estimate, run_walks
+from repro.core.randomwalk_union import RWState
+from repro.core.walker import run_walks
 from repro.core.weights import exact_size, weighted_join
 
 
@@ -37,7 +38,7 @@ def test_olken_bound_sound(spark, tiny):
 
 def test_walker_ew_uniform(spark, tiny):
     wj = weighted_join(tiny)
-    res = run_walks(spark, wj, 600, mode="ew", seed=1, total_weight=exact_size(tiny))
+    res = run_walks(spark, wj, 600, mode="ew", seed=1)
     assert res.n_failed == 0
     counts = res.pdf.groupby(["a", "x", "y"]).size()
     assert len(counts) == 6  # all 6 join results reachable
@@ -46,7 +47,7 @@ def test_walker_ew_uniform(spark, tiny):
 
 def test_walker_uniform_ht(spark, tiny):
     res = run_walks(spark, tiny, 800, mode="uniform", seed=2)
-    est = ht_estimate(res)
+    est = RWState(pools={"j1": res.pdf}, n_failed={"j1": res.n_failed}).ht_size("j1")
     assert est == pytest.approx(exact_size(tiny), rel=0.3)
 
 

@@ -4,7 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.core.join_spec import Relation, chain
-from repro.core.walker import DPROD, P, ht_estimate, ht_running_stats, run_walks
+from pyspark.sql import functions as F
+
+from repro.core.randomwalk_union import RWState
+from repro.core.walker import DPROD, P, run_walks
 from repro.core.weights import exact_size, weighted_join
 from statutil import assert_uniform
 
@@ -74,7 +77,8 @@ def test_uniform_walks_never_dead_end(spark, abc):
 
 def test_ht_estimate_converges(spark, abc):
     res = run_walks(spark, abc, 20000, mode="uniform", seed=11)
-    assert ht_estimate(res) == pytest.approx(exact_size(abc), rel=0.1)
+    state = RWState(pools={"abc": res.pdf}, n_failed={"abc": res.n_failed})
+    assert state.ht_size("abc") == pytest.approx(exact_size(abc), rel=0.1)
 
 
 def test_dprod_tracked(spark, abc):
@@ -99,18 +103,24 @@ def test_walks_deterministic_in_seed(spark, abc):
 def test_hash_specs_appended(spark, abc):
     wj = weighted_join(abc)
     res = run_walks(
-        spark, wj, 20, mode="ew", seed=0, hash_specs={("x", "pa"): "__h0"}
+        spark,
+        wj,
+        20,
+        mode="ew",
+        seed=0,
+        hash_cols=[F.xxhash64(F.col("pa").cast("string"), F.col("x").cast("string")).alias("__h0")],
     )
     assert "__h0" in res.pdf.columns
     assert res.pdf["__h0"].dtype == np.int64
 
 
 def test_ht_running_stats():
-    inv = np.array([10.0, 10.0, 10.0, 10.0])
-    mean, var = ht_running_stats(inv, 8)  # 4 failures
-    assert mean == pytest.approx(5.0)
-    assert var > 0
-    assert ht_running_stats(np.zeros(0), 0) == (0.0, 0.0)
+    pool = pd.DataFrame({P: np.full(4, 0.1)})  # four walks with 1/p = 10
+    state = RWState(pools={"j": pool}, n_failed={"j": 4})  # 4 failures
+    assert state.ht_size("j") == pytest.approx(5.0)
+    assert state.ht_var("j") > 0
+    empty = RWState(pools={"j": pd.DataFrame({P: []})}, n_failed={"j": 0})
+    assert (empty.ht_size("j"), empty.ht_var("j")) == (0.0, 0.0)
 
 
 def test_empty_root(spark):
